@@ -39,7 +39,7 @@ func run() int {
 		seed       = flag.Int64("seed", 1, "random seed")
 		scale      = flag.Float64("scale", 0, "WAN time-compression factor (0 = default)")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		parallel   = flag.Bool("parallel", false, "sweep GOMAXPROCS (1/2/4/NumCPU) over the selected experiments, reporting wall time per setting and checking metrics stay bit-identical")
+		parallel   = flag.Bool("parallel", false, "run the selected experiments once per GOMAXPROCS setting (1/2/4/NumCPU), reporting wall time per setting and failing unless every setting's metrics are bit-identical")
 		openloop   = flag.Bool("openloop", false, "run the million-user open-loop traffic profile (surge schedule, Zipfian keys, adaptive admission) instead of experiments, checking conservation at every sample")
 		showMetric = flag.Bool("metrics", false, "also print machine-readable metrics")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to `file`")
@@ -213,8 +213,8 @@ func runOpenLoop(quick bool, seed int64, scale float64) int {
 
 // runParallelSweep runs the selected experiments once per GOMAXPROCS setting
 // (1, 2, 4, NumCPU — deduplicated), reporting per-setting wall time, and
-// verifies the partitioned scheduler's headline claim: every run's metrics
-// are bit-identical to the GOMAXPROCS=1 run's.
+// verifies that the virtual-time scheduler leaves the OS scheduler no say:
+// every run's metrics are bit-identical to the GOMAXPROCS=1 run's.
 func runParallelSweep(cfg experiments.Config, ids []string) int {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

@@ -67,18 +67,6 @@ type Config struct {
 	// Clock overrides the time source outright (tests). Takes precedence
 	// over VirtualTime; the caller keeps ownership.
 	Clock vclock.Clock
-	// ParallelTime partitions the virtual scheduler by region: each region's
-	// replica, coordinator, lease manager, and delivery timers run on that
-	// region's own scheduler partition, concurrently on real cores, with a
-	// control partition for the harness. Partitions synchronize
-	// conservatively through the latency matrix's per-link delay floors and
-	// exchange cross-region messages through a deterministic merge layer, so
-	// same-seed runs stay bit-identical at any GOMAXPROCS. Requires
-	// VirtualTime; ignored when an explicit Clock is supplied. Prefer the
-	// serialized scheduler (ParallelTime=false) for scenarios that mutate
-	// global topology mid-run (loss bursts, delay spikes) when exact
-	// cross-run timestamps matter — see PROTOCOL.md "Time model".
-	ParallelTime bool
 	// PerOptionMessages runs the commit protocol on the legacy
 	// one-message-per-option wire format instead of per-destination
 	// batches. The batching equivalence tests use it; leave false
@@ -101,15 +89,13 @@ type Cluster struct {
 	RealNet  *realnet.Transport
 	Topology regions.Topology
 
-	replicas   map[simnet.Region]*mdcc.Replica
-	coords     map[simnet.Region]*mdcc.Coordinator
-	wals       map[simnet.Region]*mdcc.WAL
-	scale      float64
-	timeout    time.Duration // effective (scaled) commit timeout
-	clk        vclock.Clock
-	ownedClk   *vclock.Virtual // non-nil when the cluster created a serialized clock
-	ownedWorld *vclock.World   // non-nil when the cluster created a partitioned scheduler
-	partClks   map[simnet.Region]vclock.Clock
+	replicas map[simnet.Region]*mdcc.Replica
+	coords   map[simnet.Region]*mdcc.Coordinator
+	wals     map[simnet.Region]*mdcc.WAL
+	scale    float64
+	timeout  time.Duration // effective (scaled) commit timeout
+	clk      vclock.Clock
+	ownedClk *vclock.Virtual // non-nil when the cluster created the clock
 
 	leaseMgrs []*leaseManager
 	leaseTerm time.Duration // effective (scaled) lease term, 0 without leases
@@ -148,27 +134,14 @@ func New(cfg Config) (*Cluster, error) {
 
 	clk := cfg.Clock
 	var owned *vclock.Virtual
-	var world *vclock.World
-	var partClks map[simnet.Region]vclock.Clock
 	if clk == nil && cfg.VirtualTime {
-		if cfg.ParallelTime {
-			var err error
-			world, partClks, clk, err = buildWorld(cfg)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			owned = vclock.NewVirtual()
-			clk = owned
-		}
+		owned = vclock.NewVirtual()
+		clk = owned
 	}
 	clk = vclock.Default(clk)
 	stopClk := func() {
 		if owned != nil {
 			owned.Shutdown()
-		}
-		if world != nil {
-			world.Shutdown()
 		}
 	}
 
@@ -178,7 +151,6 @@ func New(cfg Config) (*Cluster, error) {
 		Seed:      cfg.Seed,
 		LossRate:  cfg.LossRate,
 		Clock:     clk,
-		Clocks:    partClks,
 	})
 	if err != nil {
 		stopClk()
@@ -213,17 +185,15 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		Net:        net,
-		Topology:   cfg.Topology,
-		replicas:   make(map[simnet.Region]*mdcc.Replica, len(regionList)),
-		coords:     make(map[simnet.Region]*mdcc.Coordinator, len(regionList)),
-		wals:       make(map[simnet.Region]*mdcc.WAL, len(regionList)),
-		scale:      cfg.TimeScale,
-		timeout:    time.Duration(float64(cfg.CommitTimeout) * cfg.TimeScale),
-		clk:        clk,
-		ownedClk:   owned,
-		ownedWorld: world,
-		partClks:   partClks,
+		Net:      net,
+		Topology: cfg.Topology,
+		replicas: make(map[simnet.Region]*mdcc.Replica, len(regionList)),
+		coords:   make(map[simnet.Region]*mdcc.Coordinator, len(regionList)),
+		wals:     make(map[simnet.Region]*mdcc.WAL, len(regionList)),
+		scale:    cfg.TimeScale,
+		timeout:  time.Duration(float64(cfg.CommitTimeout) * cfg.TimeScale),
+		clk:      clk,
+		ownedClk: owned,
 	}
 
 	var keyspaces []simnet.Region
@@ -281,72 +251,10 @@ func New(cfg Config) (*Cluster, error) {
 		ranked := rankedRegions(regionList)
 		for _, r := range regionList {
 			c.leaseMgrs = append(c.leaseMgrs,
-				newLeaseManager(c.replicas[r], c.ClockFor(r), c.leaseTerm, keyspaces, ranked, r))
+				newLeaseManager(c.replicas[r], c.clk, c.leaseTerm, keyspaces, ranked, r))
 		}
 	}
 	return c, nil
-}
-
-// ctlPartition names the control partition of a partitioned scheduler: the
-// harness side (workload drivers, experiment timelines, chaos scenarios)
-// runs there, beside the per-region partitions the protocol runs on.
-const ctlPartition = "ctl"
-
-// buildWorld constructs the partitioned scheduler for cfg: one partition per
-// region plus the control partition, with the lookahead matrix taken from
-// the latency matrix's per-link delay floors (scaled like every delay).
-// Every sampled cross-region delay is ≥ its link's floor, so a partition may
-// safely run ahead until the earliest instant a peer could still reach it.
-func buildWorld(cfg Config) (*vclock.World, map[simnet.Region]vclock.Clock, vclock.Clock, error) {
-	regionList := cfg.Topology.Regions
-	names := make([]string, 0, len(regionList)+1)
-	names = append(names, ctlPartition)
-	for _, r := range regionList {
-		names = append(names, string(r))
-	}
-	n := len(names)
-	la := make([][]time.Duration, n)
-	for i := range la {
-		la[i] = make([]time.Duration, n)
-	}
-	var maxLA time.Duration
-	for i, ri := range regionList {
-		for j, rj := range regionList {
-			if i == j {
-				continue
-			}
-			floor := time.Duration(float64(cfg.Topology.Matrix.Link(ri, rj).Quantile(0)) * cfg.TimeScale)
-			if floor < time.Nanosecond {
-				floor = time.Nanosecond
-			}
-			la[i+1][j+1] = floor
-			if floor > maxLA {
-				maxLA = floor
-			}
-		}
-	}
-	if maxLA == 0 {
-		maxLA = time.Nanosecond
-	}
-	for i := range regionList {
-		// ctl → region: the harness dispatch latency (spawning a session,
-		// pacing an arrival). Tiny, so driver pacing is essentially exact.
-		la[0][i+1] = time.Microsecond
-		// region → ctl: completion signals ride back with the largest
-		// region-pair lookahead, which keeps the metric closure from
-		// shortcutting any region→region floor through the control
-		// partition.
-		la[i+1][0] = maxLA
-	}
-	w, err := vclock.NewWorld(names, la)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cluster: %w", err)
-	}
-	clocks := make(map[simnet.Region]vclock.Clock, len(regionList))
-	for _, r := range regionList {
-		clocks[r] = w.Partition(string(r))
-	}
-	return w, clocks, w.Partition(ctlPartition), nil
 }
 
 // Regions returns the cluster's regions in topology order.
@@ -360,18 +268,12 @@ func (c *Cluster) TimeScale() float64 { return c.scale }
 // stage costs against it.
 func (c *Cluster) CommitTimeout() time.Duration { return c.timeout }
 
-// Clock returns the cluster's time source (the control partition under a
-// partitioned scheduler).
+// Clock returns the cluster's time source.
 func (c *Cluster) Clock() vclock.Clock { return c.clk }
 
-// ClockFor returns the scheduler partition owning region r. Without
-// ParallelTime every region shares Clock().
-func (c *Cluster) ClockFor(r simnet.Region) vclock.Clock {
-	if clk, ok := c.partClks[r]; ok {
-		return clk
-	}
-	return c.clk
-}
+// ClockFor returns the time source region r runs on, which is Clock() for
+// every region.
+func (c *Cluster) ClockFor(simnet.Region) vclock.Clock { return c.clk }
 
 // LeaseTerm returns the effective (already time-scaled) lease term, or zero
 // when master leases are disabled.
@@ -487,9 +389,6 @@ func (c *Cluster) Close() {
 	}
 	if c.ownedClk != nil {
 		c.ownedClk.Shutdown()
-	}
-	if c.ownedWorld != nil {
-		c.ownedWorld.Shutdown()
 	}
 }
 

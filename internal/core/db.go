@@ -113,14 +113,11 @@ type Stats struct {
 	Apologies  uint64
 }
 
-// regionRT is a region's private runtime: the scheduler partition its
-// sessions execute on, its transaction-ID namespace, and its RNG for
-// jitter/probe draws. Keeping all three region-local means the parallel
-// scheduler's real-time interleaving can never leak into IDs, backoff
-// delays, or admission probes — every draw happens on the region's own
-// serialized partition.
+// regionRT is a region's private runtime: its transaction-ID namespace and
+// its RNG for jitter/probe draws. Keeping both region-local means one
+// region's IDs, backoff delays and admission probes do not depend on how
+// much traffic the other regions carry.
 type regionRT struct {
-	clk vclock.Clock
 	ids *txn.IDSpace
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -172,7 +169,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	for i, r := range regionList {
 		db.rts[r] = &regionRT{
-			clk: cfg.Cluster.ClockFor(r),
 			ids: txn.NewIDSpace(i),
 			rng: rand.New(rand.NewSource(1 + int64(i))),
 		}
@@ -200,8 +196,9 @@ func Open(cfg Config) (*DB, error) {
 		// One span shard per region: every protocol actor records into (or
 		// flushes to) its own region's shard — remote actors' spans arrive
 		// as spanReportMsg and land at the transaction's home coordinator —
-		// so each shard's add order is serialized by its region's scheduler
-		// partition.
+		// so each shard holds exactly the transactions its region
+		// coordinated, which is what the per-region attribution feed below
+		// learns from.
 		db.spans = obs.NewSpanStores(obs.SpanStoreConfig{Capacity: cfg.TraceCapacity}, names)
 		db.attr = db.spans.Attribution()
 		for _, r := range regionList {
@@ -218,17 +215,16 @@ func Open(cfg Config) (*DB, error) {
 	}
 	for _, r := range regionList {
 		// The feed is the region's own shard: a predictor only ever learns
-		// from spans its own coordinator recorded, which keeps its reads on
-		// the region's partition (a merged cross-region feed would read
-		// other partitions' half-updated statistics at nondeterministic
-		// points).
+		// from spans its own coordinator recorded, so its stage costs are
+		// those of its region's links (a merged cross-region feed would
+		// blend every region's WAN distances into one estimate).
 		var feed predictor.StageFeed
 		if cfg.AttributionFeed && db.spans != nil {
 			feed = db.spans.For(string(r)).Attribution()
 		}
 		db.preds[r] = predictor.New(predictor.Config{
 			Regions:          regionList,
-			Clock:            db.rts[r].clk,
+			Clock:            clk,
 			FastQuorum:       mdcc.FastQuorum(len(regionList)),
 			ConflictHalfLife: cfg.ConflictHalfLife,
 			UseConflicts:     !cfg.DisableConflictTerm,
@@ -242,7 +238,7 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Adaptive.Enabled {
 		db.adm = make(map[simnet.Region]*admissionCtl, len(regionList))
 		for _, r := range regionList {
-			db.adm[r] = newAdmissionCtl(db.rts[r].clk, cfg.Adaptive, cfg.Admission)
+			db.adm[r] = newAdmissionCtl(clk, cfg.Adaptive, cfg.Admission)
 		}
 	}
 	if reg := cfg.Registry; reg != nil {
@@ -392,14 +388,6 @@ func (db *DB) SpeculationShed() uint64 { return db.specShed.Load() }
 // rt returns the region's runtime (nil for unknown regions).
 func (db *DB) rt(r simnet.Region) *regionRT { return db.rts[r] }
 
-// clockFor returns the scheduler partition region r's sessions run on.
-func (db *DB) clockFor(r simnet.Region) vclock.Clock {
-	if rt := db.rts[r]; rt != nil {
-		return rt.clk
-	}
-	return db.clk
-}
-
 // jitter draws a multiplier in [0.5, 1.5) for retry backoff, from the
 // region's private stream.
 func (db *DB) jitter(r simnet.Region) float64 {
@@ -431,24 +419,21 @@ func (db *DB) Session(region simnet.Region) (*Session, error) {
 	}
 	return &Session{
 		db: db, region: region, coord: coord, replica: replica,
-		pred: db.preds[region], clk: db.clockFor(region),
+		pred: db.preds[region],
 	}, nil
 }
 
-// Session is a per-region client. Under a partitioned scheduler its
-// goroutines execute on the region's partition (spawn them with
-// Clock().Go or vclock.Group.GoOn).
+// Session is a per-region client.
 type Session struct {
 	db      *DB
 	region  simnet.Region
 	coord   *mdcc.Coordinator
 	replica *mdcc.Replica
 	pred    *predictor.Predictor
-	clk     vclock.Clock
 }
 
-// Clock returns the scheduler partition the session's region runs on.
-func (s *Session) Clock() vclock.Clock { return s.clk }
+// Clock returns the DB's time source.
+func (s *Session) Clock() vclock.Clock { return s.db.clk }
 
 // Region returns the session's home region.
 func (s *Session) Region() simnet.Region { return s.region }

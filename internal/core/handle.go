@@ -80,7 +80,7 @@ type Handle struct {
 	id      txn.ID
 	db      *DB
 	session *Session
-	clk     vclock.Clock   // the home region's scheduler partition
+	clk     vclock.Clock
 	spans   *obs.SpanStore // the home region's span shard (nil untraced)
 	opts    CommitOptions
 	regions []simnet.Region
@@ -168,13 +168,13 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 		id:      db.rt(s.region).ids.NewID(),
 		db:      db,
 		session: s,
-		clk:     s.clk,
+		clk:     s.db.clk,
 		spans:   db.spans.For(string(s.region)),
 		opts:    opts,
 		regions: regionList,
 		tracks:  make([]optTrack, len(ops)),
-		start:   s.clk.Now(),
-		done:    s.clk.NewEvent(),
+		start:   s.db.clk.Now(),
+		done:    s.db.clk.NewEvent(),
 	}
 	for i, op := range ops {
 		h.tracks[i] = optTrack{
@@ -242,9 +242,9 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	}
 
 	if opts.Deadline > 0 {
-		h.timer = s.clk.AfterFunc(opts.Deadline, h.onDeadline)
+		h.timer = s.db.clk.AfterFunc(opts.Deadline, h.onDeadline)
 	}
-	preSubmit := s.clk.Now()
+	preSubmit := s.db.clk.Now()
 	if err := s.coord.SubmitTraced(h.id, ops, db.cfg.Mode, (*handleSink)(h), h.span); err != nil {
 		// Unreachable for well-formed ops, but fail closed.
 		db.inFlight[s.region].Add(-1)

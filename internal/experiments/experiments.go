@@ -97,11 +97,6 @@ func openDB(cfg Config, ccfg cluster.Config, pcfg planet.Config) (*planet.DB, fu
 	ccfg.TimeScale = cfg.scale()
 	ccfg.VirtualTime = !cfg.RealTime
 	ccfg.EarlyAbort = cfg.EarlyAbort
-	// Virtual-time experiments run on the partitioned parallel scheduler:
-	// one partition per region, deterministic cross-partition merge. (The
-	// chaos harness keeps the serialized scheduler — it mutates topology
-	// mid-run, which only the global-order scheduler makes deterministic.)
-	ccfg.ParallelTime = ccfg.VirtualTime
 	if ccfg.Seed == 0 {
 		ccfg.Seed = cfg.Seed + 1
 	}

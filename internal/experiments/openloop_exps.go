@@ -64,29 +64,11 @@ func F9OpenLoopSurge(cfg Config) (Result, error) {
 	fmt.Fprintf(&b, "%-10s %10s %12s %10s %10s %10s %10s\n",
 		"policy", "injected", "goodput/s", "commit", "rejected", "p50-final", "p99-final")
 	for _, arm := range arms {
-		// The surge mutates topology mid-run (replica crash + rejoin), so
-		// the cluster is built directly on the serialized virtual scheduler
-		// rather than through openDB's partitioned one — global event order
-		// is what makes a mid-run membership change deterministic.
-		ccfg := cluster.Config{
-			Topology:      regions.Five(),
-			TimeScale:     cfg.scale(),
-			Seed:          cfg.Seed + 83,
-			VirtualTime:   !cfg.RealTime,
-			EarlyAbort:    cfg.EarlyAbort,
-			CommitTimeout: 30 * time.Second,
-		}
-		c, err := cluster.New(ccfg)
+		db, cleanup, err := openDB(cfg, cluster.Config{Seed: cfg.Seed + 83}, arm.pcfg)
 		if err != nil {
 			return Result{}, err
 		}
-		pcfg := arm.pcfg
-		pcfg.Cluster = c
-		db, err := planet.Open(pcfg)
-		if err != nil {
-			c.Close()
-			return Result{}, err
-		}
+		c := db.Cluster()
 		clk := c.Clock()
 		scale := c.TimeScale()
 
@@ -118,8 +100,7 @@ func F9OpenLoopSurge(cfg Config) (Result, error) {
 			SampleEvery: 256,
 		}.Run()
 		adm := db.AdmissionState(regions.California)
-		c.Close()
-		c.Quiesce(cfg.quiesceBudget())
+		cleanup()
 		if err != nil {
 			return Result{}, err
 		}

@@ -37,9 +37,4 @@ type Transport interface {
 	Deregister(addr simnet.Addr)
 	// Clock is the time source shared by every layer above the transport.
 	Clock() vclock.Clock
-	// ClockFor is the time source owning region r. Under a partitioned
-	// scheduler each region has its own partition and protocol actors pin
-	// their timers to their region's clock; single-clock transports return
-	// Clock().
-	ClockFor(r simnet.Region) vclock.Clock
 }

@@ -13,39 +13,17 @@ import (
 // deterministically and the scheduler can never advance time through the
 // handoff. Under the Real clock it degenerates to a closed channel. Fire
 // is idempotent; Wait after Fire returns immediately.
-//
-// Under a World partition the event is homed on the creating partition:
-// Fire must be called from code executing on that partition, and waiters
-// parked on other partitions are woken through the deterministic merge
-// layer at fire time + lookahead. (Firing from a foreign partition is
-// tolerated — the wake is immediate rather than merge-ordered — but it is
-// only deterministic at teardown, when ordering no longer matters.) A
-// goroutine on a different partition must wait with WaitFrom /
-// WaitTimeoutFrom, passing its own clock.
 type Event struct {
-	v       *Virtual   // non-nil for serialized-virtual semantics
-	p       *Partition // non-nil for partitioned-world semantics (the home)
-	mu      sync.Mutex // guards fired in real mode (virtual modes use the scheduler lock)
+	v       *Virtual   // non-nil under a Virtual clock
+	mu      sync.Mutex // guards fired under the Real clock (Virtual uses the scheduler lock)
 	ch      chan struct{}
 	fired   bool
-	waiters []*grant // virtual modes: parked waiters in arrival order
+	waiters []*grant // Virtual: parked waiters in arrival order
 }
 
 // Fire releases all current and future waiters. Safe to call from any
 // goroutine, any number of times.
 func (e *Event) Fire() {
-	if p := e.p; p != nil {
-		w := p.w
-		w.mu.Lock()
-		if !e.fired {
-			e.fired = true
-			close(e.ch)
-			p.fireEventLocked(e.waiters)
-			e.waiters = nil
-		}
-		w.mu.Unlock()
-		return
-	}
 	if v := e.v; v != nil {
 		v.mu.Lock()
 		if !e.fired {
@@ -76,11 +54,6 @@ func (e *Event) Done() <-chan struct{} { return e.ch }
 
 // Fired reports whether Fire has been called.
 func (e *Event) Fired() bool {
-	if p := e.p; p != nil {
-		p.w.mu.Lock()
-		defer p.w.mu.Unlock()
-		return e.fired
-	}
 	if v := e.v; v != nil {
 		v.mu.Lock()
 		defer v.mu.Unlock()
@@ -93,29 +66,8 @@ func (e *Event) Fired() bool {
 
 // Wait blocks until the event fires. Under a virtual clock the caller's
 // execution slot is released while blocked and regained in run-queue order
-// after Fire. Under a World the caller must be executing on the event's
-// home partition (use WaitFrom elsewhere).
-func (e *Event) Wait() { e.WaitFrom(nil) }
-
-// WaitFrom is Wait for a caller executing on the partition of from (which
-// may be the home partition or any other partition of the same World).
-func (e *Event) WaitFrom(from Clock) {
-	if p := e.p; p != nil {
-		waiter := p
-		if fp := partitionOf(from); fp != nil {
-			waiter = fp
-		}
-		w := p.w
-		w.mu.Lock()
-		if e.fired || w.stopped {
-			w.mu.Unlock()
-			return
-		}
-		g := &grant{ch: make(chan struct{}), p: waiter}
-		e.waiters = append(e.waiters, g)
-		waiter.parkLocked(g)
-		return
-	}
+// after Fire.
+func (e *Event) Wait() {
 	v := e.v
 	if v == nil {
 		<-e.ch
@@ -132,36 +84,8 @@ func (e *Event) WaitFrom(from Clock) {
 }
 
 // WaitTimeout blocks until the event fires or d elapses, reporting whether
-// the event fired. Under a World the caller must be executing on the
-// event's home partition (use WaitTimeoutFrom elsewhere).
-func (e *Event) WaitTimeout(d time.Duration) bool { return e.WaitTimeoutFrom(nil, d) }
-
-// WaitTimeoutFrom is WaitTimeout for a caller executing on the partition
-// of from.
-func (e *Event) WaitTimeoutFrom(from Clock, d time.Duration) bool {
-	if p := e.p; p != nil {
-		waiter := p
-		if fp := partitionOf(from); fp != nil {
-			waiter = fp
-		}
-		w := p.w
-		w.mu.Lock()
-		if e.fired {
-			w.mu.Unlock()
-			return true
-		}
-		if w.stopped {
-			w.mu.Unlock()
-			return false
-		}
-		g := &grant{ch: make(chan struct{}), p: waiter}
-		t := waiter.newTimerLocked(d)
-		t.g = g
-		g.wt = t
-		e.waiters = append(e.waiters, g)
-		waiter.parkLocked(g)
-		return g.cause == causeEvent
-	}
+// the event fired.
+func (e *Event) WaitTimeout(d time.Duration) bool {
 	v := e.v
 	if v == nil {
 		e.mu.Lock()
@@ -207,31 +131,6 @@ func (e *Event) WaitCtx(ctx context.Context) error {
 		e.Wait()
 		return nil
 	}
-	if p := e.p; p != nil {
-		w := p.w
-		w.mu.Lock()
-		if e.fired || w.stopped {
-			w.mu.Unlock()
-			return nil
-		}
-		g := &grant{ch: make(chan struct{}), p: p}
-		e.waiters = append(e.waiters, g)
-		w.mu.Unlock()
-		// Cancellation comes from outside the virtual world; the watcher
-		// readies the waiter with a ctx wake.
-		stop := context.AfterFunc(ctx, func() {
-			w.mu.Lock()
-			p.wakeLocked(g, causeCtx)
-			w.mu.Unlock()
-		})
-		w.mu.Lock()
-		p.parkLocked(g)
-		stop()
-		if g.cause == causeCtx {
-			return ctx.Err()
-		}
-		return nil
-	}
 	v := e.v
 	if v == nil {
 		select {
@@ -265,11 +164,7 @@ func (e *Event) WaitCtx(ctx context.Context) error {
 
 // Group is a sync.WaitGroup replacement whose Wait participates in the
 // clock's run-queue accounting, so a goroutine joining its workers does not
-// pin virtual time while blocked. The Group is homed on the clock it was
-// built with: under a partitioned World, workers spawned on other
-// partitions with GoOn ship their completion back through the merge layer,
-// so the counter's zero crossing — and every waiter's wake-up — happens at
-// a deterministic virtual time on the home partition.
+// pin virtual time while blocked.
 type Group struct {
 	clk Clock
 	mu  sync.Mutex
@@ -311,60 +206,30 @@ func (g *Group) Done() {
 	}
 }
 
-// Go runs f as one tracked worker on the Group's home clock: Add(1), spawn
-// via the clock, Done on return.
-func (g *Group) Go(f func()) {
+// Go runs f as one tracked worker on the Group's clock: Add(1), spawn via
+// the clock, Done on return.
+func (g *Group) Go(f func()) { g.GoOn(g.clk, f) }
+
+// GoOn is Go with the worker spawned through clk, which must be the
+// Group's clock or share its scheduler.
+func (g *Group) GoOn(clk Clock, f func()) {
 	g.Add(1)
-	g.clk.Go(func() {
+	Default(clk).Go(func() {
 		defer g.Done()
 		f()
 	})
 }
 
-// GoOn runs f as one tracked worker on clk's partition. The spawn ships
-// from the Group's home partition through the merge layer (so it lands at
-// a deterministic point in the worker partition's order), and the Done
-// ships back the same way. The caller must be executing on the Group's
-// home partition. When clk and the home clock are not distinct partitions
-// of one World, GoOn is exactly Go on clk.
-func (g *Group) GoOn(clk Clock, f func()) {
-	clk = Default(clk)
-	g.Add(1)
-	body := func() {
-		defer g.doneFrom(clk)
-		f()
-	}
-	home, worker := partitionOf(g.clk), partitionOf(clk)
-	if home == nil || worker == nil || home == worker || home.w != worker.w {
-		clk.Go(body)
-		return
-	}
-	ScheduleCross(g.clk, clk, 0, func() { clk.Go(body) })
-}
-
-// doneFrom ships a Done from a worker's partition back to the home
-// partition through the merge layer.
-func (g *Group) doneFrom(clk Clock) {
-	home, worker := partitionOf(g.clk), partitionOf(clk)
-	if home == nil || worker == nil || home == worker || home.w != worker.w {
-		g.Done()
-		return
-	}
-	ScheduleCross(clk, g.clk, 0, g.Done)
-}
-
-// N reports the current worker count: workers spawned and not yet finished
-// (for GoOn workers, not yet finished *as observed at the home partition* —
-// the completion signal takes one lookahead to ship). Open-loop drivers use
-// it as their deterministic in-flight gauge.
+// N reports the current worker count: workers spawned and not yet
+// finished. Open-loop drivers use it as their deterministic in-flight
+// gauge.
 func (g *Group) N() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.n
 }
 
-// Wait blocks until the worker count reaches zero. Must be called from the
-// Group's home partition under a World.
+// Wait blocks until the worker count reaches zero.
 func (g *Group) Wait() {
 	for {
 		g.mu.Lock()

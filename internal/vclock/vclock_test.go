@@ -72,6 +72,30 @@ func TestVirtualIdleAdvanceWithBlockedGoroutines(t *testing.T) {
 	}
 }
 
+// TestGroupWaitReturnsAtLastDone checks that a Group's Wait returns at the
+// virtual instant its last worker finishes, with no delay added between a
+// worker's Done and the waiter's wake-up: open-loop drivers and experiments
+// divide by the elapsed time around Wait, so any padding skews goodput.
+func TestGroupWaitReturnsAtLastDone(t *testing.T) {
+	v := newTestClock(t)
+	v.Sleep(time.Second) // start off the epoch
+	start := v.Now()
+	const d = 3 * time.Millisecond
+	g := NewGroup(v)
+	g.Go(func() { v.Sleep(d) })
+	g.GoOn(v, func() { v.Sleep(d / 3) })
+	if n := g.N(); n != 2 {
+		t.Fatalf("N = %d after spawning two workers, want 2", n)
+	}
+	g.Wait()
+	if got := v.Since(start); got != d {
+		t.Fatalf("Wait returned %v after start, want exactly %v", got, d)
+	}
+	if n := g.N(); n != 0 {
+		t.Fatalf("N = %d after Wait, want 0", n)
+	}
+}
+
 func TestVirtualDeterministicGrantOrder(t *testing.T) {
 	// Goroutines spawned in order, all sleeping until the same instant,
 	// must resume in spawn order — every run, regardless of host load. No

@@ -30,10 +30,6 @@ type grant struct {
 	fn    func()        // AfterFunc body (nil for parked goroutines)
 	timer *vtimer       // companion timeout timer, descheduled on other wakes
 	cause int           // why a parked grant was woken; causeNone = still parked
-
-	// World-partition fields (nil/zero under a plain Virtual clock).
-	p  *Partition // partition the grant parks on (wakes route back to it)
-	wt *wtimer    // companion timeout timer in the partitioned scheduler
 }
 
 // Virtual is a deterministic discrete-event scheduler implementing Clock.
@@ -175,7 +171,7 @@ func (v *Virtual) newTimerLocked(d time.Duration) *vtimer {
 	}
 	t := &vtimer{v: v, when: v.now + d, seq: v.seq}
 	v.seq++
-	v.timers.schedule(t.when, t.seq, 0, t)
+	v.timers.schedule(t.when, t.seq, t)
 	v.cond.Signal()
 	return t
 }
@@ -465,7 +461,7 @@ func (t *vtimer) Reset(d time.Duration) bool {
 	t.when = v.now + d
 	t.seq = v.seq
 	v.seq++
-	v.timers.schedule(t.when, t.seq, 0, t)
+	v.timers.schedule(t.when, t.seq, t)
 	v.cond.Signal()
 	return wasPending
 }

@@ -5,15 +5,15 @@ import (
 	"time"
 )
 
-// This file implements the hierarchical timer wheel that backs both
-// schedulers (Virtual and World partitions). The binary heaps it replaced
-// cost O(log n) per insert/remove; with open-loop traffic the schedulers
-// carry hundreds of thousands of outstanding deadlines (one per in-flight
-// virtual user plus one per pending protocol timeout), and the heap's
-// pointer-chasing sift dominated the hot path. The wheel makes insert and
-// cancel O(1) and pop amortized O(1), while reproducing the heaps' fire
-// order *exactly* — the same (when, tie-break) total order — which is what
-// lets the determinism gates stay bit-identical across the swap.
+// This file implements the hierarchical timer wheel that backs the Virtual
+// scheduler. The binary heap it replaced cost O(log n) per insert/remove;
+// with open-loop traffic the scheduler carries hundreds of thousands of
+// outstanding deadlines (one per in-flight virtual user plus one per
+// pending protocol timeout), and the heap's pointer-chasing sift dominated
+// the hot path. The wheel makes insert and cancel O(1) and pop amortized
+// O(1), while reproducing the heap's fire order *exactly* — the same
+// (when, seq) total order — which is what lets the determinism gates stay
+// bit-identical across the swap.
 //
 // Shape: wheelLevels levels of wheelSlots slots each. Level ℓ's slot width
 // is 1<<(wheelShift0 + ℓ*wheelBits) nanoseconds, so level 0 resolves
@@ -24,8 +24,8 @@ import (
 // after the cursor" is two bit ops.
 //
 // cur is the wheel's clock: the deadline of the last pop (pops come out in
-// nondecreasing key order, and schedulers only insert at or after their own
-// now >= cur, so every live entry satisfies when >= cur at all times).
+// nondecreasing key order, and the scheduler only inserts at or after its
+// own now >= cur, so every live entry satisfies when >= cur at all times).
 // Placement guarantees a live entry's slot, read circularly from the
 // cursor's slot at its level, is at distance bin(when)-bin(cur) in [0,63],
 // where bin(x) = x >> levelShift; cur only grows, so the distance only
@@ -39,15 +39,14 @@ import (
 // so an entry moves at most wheelLevels-1 times in its life. Once the
 // earliest bin is a level-0 slot, that slot contains every live entry with
 // when < binstart + 1.024µs, and a linear scan of it under the full
-// (when, a, b) key — against the overflow heap's top — yields exactly the
+// (when, seq) key — against the overflow heap's top — yields exactly the
 // heap's pop order. Correctness of the spill placement: after cur advances
 // to the bin start, every entry in the slot has when - cur < slot width,
 // which places it at a strictly finer level with cursor distance <= 63.
 //
 // Cancellation is lazy: Stop/Reset bump the timer's generation and drop
 // the live count; the stale entry stays behind and is discarded when a
-// scan or spill meets it. peekMin shares findMin, so partition base
-// computations never see a dead minimum.
+// scan or spill meets it.
 
 const (
 	wheelShift0 = 10 // level-0 slot width: 1.024µs of virtual time
@@ -55,14 +54,9 @@ const (
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
 	wheelLevels = 8
-
-	// localKeyBit packs the wtimer "cross sorts before local" flag into the
-	// first tie-break word: cross senders use small ids, local timers set
-	// the top bit, so unsigned compare reproduces cross-before-local.
-	localKeyBit = uint64(1) << 63
 )
 
-// wheelNode is the per-timer state embedded in vtimer and wtimer. gen
+// wheelNode is the per-timer state embedded in vtimer. gen
 // invalidates stale wheel entries after a cancel or re-key; queued reports
 // whether the timer is currently scheduled.
 type wheelNode struct {
@@ -77,11 +71,11 @@ type wheelTimer interface {
 }
 
 // wentry is one scheduled deadline, stored by value inside slots.
-// (when, a, b) is the full scheduling key. node caches t.wheelState() so
+// (when, seq) is the full scheduling key. node caches t.wheelState() so
 // staleness checks are a direct load instead of a generic-dictionary call.
 type wentry[T wheelTimer] struct {
 	when time.Duration
-	a, b uint64
+	seq  uint64
 	gen  uint32
 	node *wheelNode
 	t    T
@@ -92,15 +86,12 @@ func (e *wentry[T]) stale() bool {
 	return !e.node.queued || e.node.gen != e.gen
 }
 
-// entryLess is the total order shared with the replaced heaps.
+// entryLess is the total order shared with the replaced heap.
 func entryLess[T wheelTimer](x, y *wentry[T]) bool {
 	if x.when != y.when {
 		return x.when < y.when
 	}
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	return x.b < y.b
+	return x.seq < y.seq
 }
 
 // bucket holds entries. Wheel slots use it as an unsorted slice; the
@@ -162,18 +153,6 @@ type wheel[T wheelTimer] struct {
 	stales int           // cancelled entries not yet physically dropped
 	levels [wheelLevels]wheelLevel[T]
 	over   bucket[T] // deadlines beyond the top level's reach (heap-ordered)
-
-	// Cached result of the last findMin, valid while minNode != nil: the
-	// location and key of the current global minimum. The heaps this wheel
-	// replaced had a free peek (h[0]), and the partition merge layer peeks
-	// the horizon on every fire — without the cache each peek repays the
-	// full cascade. Inserts keep the cache unless they undercut the cached
-	// key; popping, cancelling, or rescheduling the cached timer drops it.
-	minNode         *wheelNode
-	minWhen         time.Duration
-	minA, minB      uint64
-	minSlot, minIdx int
-	minOver         bool
 }
 
 // place computes the (level, slot) for a deadline. Deadlines at or before
@@ -208,10 +187,6 @@ func (w *wheel[T]) place(when time.Duration) (int, int, bool) {
 
 // insert files e at its (level, slot) or into the overflow heap.
 func (w *wheel[T]) insert(e wentry[T]) {
-	if w.minNode != nil && (e.when < w.minWhen ||
-		(e.when == w.minWhen && (e.a < w.minA || (e.a == w.minA && e.b < w.minB)))) {
-		w.minNode = nil // the new entry undercuts the cached minimum
-	}
 	level, slot, ok := w.place(e.when)
 	if !ok {
 		w.over.hpush(e)
@@ -222,17 +197,14 @@ func (w *wheel[T]) insert(e wentry[T]) {
 	lv.occupied |= 1 << uint(slot)
 }
 
-// schedule inserts t with deadline when and tie-break key (a, b). The
-// timer's generation is advanced so any previous entry for t goes stale.
-func (w *wheel[T]) schedule(when time.Duration, a, b uint64, t T) {
+// schedule inserts t with deadline when and tie-break seq. The timer's
+// generation is advanced so any previous entry for t goes stale.
+func (w *wheel[T]) schedule(when time.Duration, seq uint64, t T) {
 	n := t.wheelState()
-	if n == w.minNode {
-		w.minNode = nil // rescheduling stales the cached entry
-	}
 	n.gen++
 	n.queued = true
 	w.live++
-	w.insert(wentry[T]{when: when, a: a, b: b, gen: n.gen, node: n, t: t})
+	w.insert(wentry[T]{when: when, seq: seq, gen: n.gen, node: n, t: t})
 }
 
 // cancel lazily removes t. Reports whether t was scheduled.
@@ -240,9 +212,6 @@ func (w *wheel[T]) cancel(t T) bool {
 	n := t.wheelState()
 	if !n.queued {
 		return false
-	}
-	if n == w.minNode {
-		w.minNode = nil
 	}
 	n.queued = false
 	n.gen++
@@ -286,9 +255,6 @@ func (w *wheel[T]) purgeOver() *wentry[T] {
 // slot (or the overflow heap) and returns its location: the slot index and
 // position for a wheel hit, or fromOver for an overflow hit.
 func (w *wheel[T]) findMin() (slot, idx int, fromOver, ok bool) {
-	if w.minNode != nil {
-		return w.minSlot, w.minIdx, w.minOver, true
-	}
 	for {
 		// Earliest occupied bin across levels, preferring the coarsest
 		// level on ties: a coarse slot sharing a fine bin's start may hide
@@ -314,7 +280,6 @@ func (w *wheel[T]) findMin() (slot, idx int, fromOver, ok bool) {
 			if w.purgeOver() == nil {
 				return 0, 0, false, false
 			}
-			w.cacheMin(0, 0, true)
 			return 0, 0, true, true
 		}
 		// No live deadline precedes the earliest occupied bin, so jumping
@@ -357,40 +322,10 @@ func (w *wheel[T]) findMin() (slot, idx int, fromOver, ok bool) {
 		// The slot holds every live wheel entry with when < binstart+width;
 		// only the overflow heap can still undercut it.
 		if ov := w.purgeOver(); ov != nil && entryLess(ov, &(*h)[minIdx]) {
-			w.cacheMin(0, 0, true)
 			return 0, 0, true, true
 		}
-		w.cacheMin(bestSlot, minIdx, false)
 		return bestSlot, minIdx, false, true
 	}
-}
-
-// cacheMin records the location and key findMin resolved, so subsequent
-// peeks skip the cascade until something disturbs the minimum.
-func (w *wheel[T]) cacheMin(slot, idx int, fromOver bool) {
-	var e *wentry[T]
-	if fromOver {
-		e = &w.over[0]
-	} else {
-		e = &w.levels[0].slots[slot][idx]
-	}
-	w.minNode = e.node
-	w.minWhen, w.minA, w.minB = e.when, e.a, e.b
-	w.minSlot, w.minIdx, w.minOver = slot, idx, fromOver
-}
-
-// peekMin reports the earliest scheduled timer without removing it.
-func (w *wheel[T]) peekMin() (T, time.Duration, bool) {
-	slot, idx, fromOver, ok := w.findMin()
-	if !ok {
-		var zero T
-		return zero, 0, false
-	}
-	if fromOver {
-		return w.over[0].t, w.over[0].when, true
-	}
-	e := &w.levels[0].slots[slot][idx]
-	return e.t, e.when, true
 }
 
 // popMin removes and returns the earliest scheduled timer, advancing cur to
@@ -418,7 +353,6 @@ func (w *wheel[T]) popMin() (T, bool) {
 	}
 	e.node.queued = false
 	w.live--
-	w.minNode = nil
 	if e.when > w.cur {
 		w.cur = e.when
 	}
@@ -454,5 +388,4 @@ func (w *wheel[T]) reset() {
 	w.over = nil
 	w.live = 0
 	w.stales = 0
-	w.minNode = nil
 }

@@ -73,17 +73,12 @@ func (c Closed) Run() (*Report, error) {
 	report := NewReport()
 	start := clk.Now()
 
-	// Each client lives on its origin region's scheduler partition (GoOn),
-	// so every clock read and timer it takes is partition-local and the
-	// run is deterministic under the parallel scheduler. Under a serialized
-	// or real clock GoOn degenerates to Go.
 	g := vclock.NewGroup(clk)
 	errs := make(chan error, c.Clients)
 	for i := 0; i < c.Clients; i++ {
 		region := c.Regions[i%len(c.Regions)]
-		rclk := c.DB.Cluster().ClockFor(region)
 		rng := rand.New(rand.NewSource(c.Seed + int64(i)*7919))
-		g.GoOn(rclk, func() {
+		g.Go(func() {
 			s, err := c.DB.Session(region)
 			if err != nil {
 				errs <- err
@@ -95,7 +90,7 @@ func (c Closed) Run() (*Report, error) {
 					errs <- fmt.Errorf("workload: build: %w", err)
 					return
 				}
-				h, err := tx.Commit(report.callbacks(rclk, region, c.SpeculateAt, c.Deadline))
+				h, err := tx.Commit(report.callbacks(clk, region, c.SpeculateAt, c.Deadline))
 				if err != nil {
 					errs <- fmt.Errorf("workload: commit: %w", err)
 					return
@@ -192,11 +187,10 @@ func (o Open) Run() (*Report, error) {
 		sessions[i] = s
 	}
 
-	// Arrivals are paced on the driving (control) partition; each arrival's
-	// build+commit+wait runs on its session's region partition (GoOn) with a
-	// child RNG seeded from the pacing RNG, so key choices stay a pure
-	// function of the arrival index and every clock access is
-	// partition-local. Group.N is the deterministic in-flight gauge.
+	// Arrivals are paced by this goroutine; each arrival's build+commit+wait
+	// runs as a Group worker with a child RNG seeded from the pacing RNG, so
+	// key choices stay a pure function of the arrival index. Group.N is the
+	// deterministic in-flight gauge.
 	start := clk.Now()
 	g := vclock.NewGroup(clk)
 	var errMu sync.Mutex
@@ -210,11 +204,10 @@ func (o Open) Run() (*Report, error) {
 	}
 
 	inject := func(s *planet.Session, childSeed int64) {
-		rclk := s.Clock()
 		if o.Ledger != nil {
 			o.Ledger.inject()
 		}
-		g.GoOn(rclk, func() {
+		g.Go(func() {
 			crng := pooledRNG(childSeed)
 			tx, err := o.Template.Build(s, crng)
 			putRNG(crng)
@@ -225,7 +218,7 @@ func (o Open) Run() (*Report, error) {
 				setErr(fmt.Errorf("workload: build: %w", err))
 				return
 			}
-			opts := report.callbacks(rclk, s.Region(), o.SpeculateAt, o.Deadline)
+			opts := report.callbacks(clk, s.Region(), o.SpeculateAt, o.Deadline)
 			if l := o.Ledger; l != nil {
 				inner := opts.OnFinal
 				opts.OnFinal = func(out txn.Outcome) {
@@ -247,8 +240,8 @@ func (o Open) Run() (*Report, error) {
 
 	// The pacer draws (gap, childSeed) pairs in a fixed order, batches
 	// arrivals when asked, and samples the conservation ledger on a fixed
-	// arrival stride — all on the control partition, so the whole arrival
-	// sequence is a pure function of the seed.
+	// arrival stride — all on this goroutine, so the whole arrival sequence
+	// is a pure function of the seed.
 	type arrival struct {
 		s    *planet.Session
 		seed int64

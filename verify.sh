@@ -5,7 +5,7 @@
 set -eux
 
 # Static analysis first (go vet has been part of this gate since the seed;
-# the parallel scheduler work leans on it for copylocks/loopclosure checks).
+# the scheduler and transport code lean on its copylocks/loopclosure checks).
 go vet ./...
 go build ./...
 go test ./...
@@ -22,16 +22,17 @@ go test -race -run Soak -short ./internal/chaos/
 # the scheduler itself). Budget: the full experiment suite runs on the
 # virtual clock and must finish inside a wall-time budget a real-clock
 # run could never meet (it needs ~10s of sleeping per run alone).
-# Since the partitioned scheduler landed, the gate runs at GOMAXPROCS=1
-# AND GOMAXPROCS=4: the parallel merge layer must produce bit-identical
-# metrics whether partitions interleave on one OS thread or truly race
-# on four. Each invocation compares two same-seed runs internally.
+# The gate runs at GOMAXPROCS=1 AND GOMAXPROCS=4: the serialized
+# scheduler grants its one execution slot in a fixed order, so the metrics
+# must be bit-identical whether tracked goroutines share one OS thread or
+# are spread over four. Each invocation compares two same-seed runs
+# internally.
 GOMAXPROCS=1 go test -count=10 -run TestVirtualTimeDeterminism .
 GOMAXPROCS=4 go test -count=10 -run TestVirtualTimeDeterminism .
-# Cross-GOMAXPROCS comparison: planetbench -parallel runs the whole
-# experiment registry once per GOMAXPROCS setting (1/2/4/NumCPU) in ONE
-# process and fails unless every pass's metric maps are bit-identical to
-# the GOMAXPROCS=1 reference.
+# Cross-GOMAXPROCS comparison over the whole registry, not just F4:
+# planetbench -parallel runs every experiment once per GOMAXPROCS setting
+# (1/2/4/NumCPU) in ONE process and fails unless every pass's metric maps
+# are bit-identical to the GOMAXPROCS=1 reference.
 go run ./cmd/planetbench -quick -parallel all
 # Lease determinism gate: the same seed on the virtual clock with master
 # leases ENABLED must produce bit-identical txn outcomes, final state, and
