@@ -1,12 +1,12 @@
 package mdcc_test
 
-// Tests for the per-destination message batching introduced with the
-// PrepareBatch/VoteBatch wire forms: per-option semantics on mixed batches,
-// resilience to losing a whole batch message, message-count reduction and
-// its determinism, and outcome equivalence against the legacy
-// one-message-per-option wire format.
+// Tests for the per-destination message batching of the wire protocol:
+// per-option semantics on mixed batches, resilience to losing a whole batch
+// message, a commit's message count and its determinism, and the outcomes
+// the per-option protocol rules imply.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -15,7 +15,6 @@ import (
 	"planet/internal/cluster"
 	"planet/internal/mdcc"
 	"planet/internal/regions"
-	"planet/internal/simnet"
 	"planet/internal/txn"
 )
 
@@ -118,13 +117,14 @@ func TestBatchPartialLossClassicQuorum(t *testing.T) {
 }
 
 func TestBatchMessageCountDeterministic(t *testing.T) {
-	// Batching exists to cut messages per commit; that reduction must be
-	// deterministic. Two identical runs send identical message counts, and
-	// the batched wire format sends strictly fewer messages than the
-	// per-option one for a multi-option transaction.
-	count := func(perOption bool) uint64 {
-		c := newTestCluster(t, cluster.Config{PerOptionMessages: perOption})
-		ops := multiOps(c, t, "count", 4)
+	// Batching exists to make a commit's message count independent of its
+	// option count, and that count must be deterministic. On five regions a
+	// fast-path commit sends exactly one proposal, one vote batch and one
+	// decide per replica — 15 messages — whether the transaction carries
+	// one option or eight; two identical runs send identical counts.
+	count := func(n int) uint64 {
+		c := newTestCluster(t, cluster.Config{})
+		ops := multiOps(c, t, "count", n)
 		before := c.Net.Sent.Load()
 		committed, err, _ := submit(t, c, regions.California, ops, mdcc.ModeFast)
 		if !committed || err != nil {
@@ -136,83 +136,93 @@ func TestBatchMessageCountDeterministic(t *testing.T) {
 		return c.Net.Sent.Load() - before
 	}
 
-	batched := count(false)
-	if again := count(false); again != batched {
-		t.Errorf("batched message count not deterministic: %d vs %d", batched, again)
-	}
-	perOption := count(true)
-	if batched >= perOption {
-		t.Errorf("batched run sent %d messages, per-option sent %d; want a reduction", batched, perOption)
+	for _, n := range []int{1, 2, 4, 8} {
+		got := count(n)
+		if again := count(n); again != got {
+			t.Errorf("%d options: message count not deterministic: %d vs %d", n, got, again)
+		}
+		if got != 15 {
+			t.Errorf("%d options: fast-path commit sent %d messages, want 15 (3 per replica)", n, got)
+		}
 	}
 }
 
-// TestBatchPerOptionEquivalence drives the same transaction sequence
-// through a batched-wire cluster and a per-option-wire cluster for several
-// seeds and demands identical outcomes and identical final replica state.
-// The mix includes multi-key sets spanning masters, bounded adds, a bound
+// TestBatchPerOptionEquivalence drives a fixed transaction sequence through
+// the batched wire for several seeds and demands the outcomes MDCC's
+// per-option rules imply, and identical final state on every replica: each
+// item of a batch is judged as its own per-option message would be. The
+// mix includes multi-key sets spanning masters, bounded adds, a bound
 // violation, and a stale read version.
 func TestBatchPerOptionEquivalence(t *testing.T) {
-	type outcome struct {
-		committed bool
-		errText   string
+	txns := [][]txn.Op{
+		{ // multi-key fast-path set, masters spread by key hash
+			{Kind: txn.OpSet, Key: "eq-b-0", Value: []byte("a"), ReadVersion: 0},
+			{Kind: txn.OpSet, Key: "eq-b-1", Value: []byte("b"), ReadVersion: 0},
+			{Kind: txn.OpSet, Key: "eq-b-2", Value: []byte("c"), ReadVersion: 0},
+		},
+		{ // commutative adds within bounds
+			{Kind: txn.OpAdd, Key: "eq-i-0", Delta: 5},
+			{Kind: txn.OpAdd, Key: "eq-i-1", Delta: -3},
+		},
+		{ // bound violation: 10-50 < 0 is a fatal reject
+			{Kind: txn.OpAdd, Key: "eq-i-2", Delta: -50},
+		},
+		{ // stale read version: fatal reject
+			{Kind: txn.OpSet, Key: "eq-b-3", Value: []byte("x"), ReadVersion: 7},
+		},
+		{ // second write to an already-written key, correct version
+			{Kind: txn.OpSet, Key: "eq-b-0", Value: []byte("a2"), ReadVersion: 1},
+		},
 	}
-	run := func(seed int64, perOption bool) ([]outcome, map[simnet.Region]map[string]mdcc.Value) {
-		c := newTestCluster(t, cluster.Config{Seed: seed, PerOptionMessages: perOption})
-		for i := 0; i < 4; i++ {
-			c.SeedBytes(fmt.Sprintf("eq-b-%d", i), []byte("v0"))
-		}
-		for i := 0; i < 4; i++ {
-			c.SeedInt(fmt.Sprintf("eq-i-%d", i), 10, 0, 100)
-		}
-		txns := [][]txn.Op{
-			{ // multi-key fast-path set, masters spread by key hash
-				{Kind: txn.OpSet, Key: "eq-b-0", Value: []byte("a"), ReadVersion: 0},
-				{Kind: txn.OpSet, Key: "eq-b-1", Value: []byte("b"), ReadVersion: 0},
-				{Kind: txn.OpSet, Key: "eq-b-2", Value: []byte("c"), ReadVersion: 0},
-			},
-			{ // commutative adds within bounds
-				{Kind: txn.OpAdd, Key: "eq-i-0", Delta: 5},
-				{Kind: txn.OpAdd, Key: "eq-i-1", Delta: -3},
-			},
-			{ // bound violation: 10-50 < 0 is a fatal reject
-				{Kind: txn.OpAdd, Key: "eq-i-2", Delta: -50},
-			},
-			{ // stale read version: fatal reject
-				{Kind: txn.OpSet, Key: "eq-b-3", Value: []byte("x"), ReadVersion: 7},
-			},
-			{ // second write to an already-written key, correct version
-				{Kind: txn.OpSet, Key: "eq-b-0", Value: []byte("a2"), ReadVersion: 1},
-			},
-		}
-		var outs []outcome
-		for _, ops := range txns {
-			committed, err, _ := submit(t, c, regions.Ireland, ops, mdcc.ModeFast)
-			o := outcome{committed: committed}
-			if err != nil {
-				o.errText = err.Error()
-			}
-			outs = append(outs, o)
-		}
-		if !c.Quiesce(5 * time.Second) {
-			t.Fatal("network did not quiesce")
-		}
-		state := make(map[simnet.Region]map[string]mdcc.Value)
-		for _, r := range c.Regions() {
-			state[r] = c.Replica(r).Snapshot()
-		}
-		return outs, state
+	// wantErr is each transaction's outcome: nil commits, anything else
+	// aborts with that error.
+	wantErr := []error{nil, nil, mdcc.ErrBound, mdcc.ErrConflict, nil}
+	wantBytes := map[string]struct {
+		value   string
+		version int64
+	}{
+		"eq-b-0": {"a2", 2}, "eq-b-1": {"b", 1}, "eq-b-2": {"c", 1}, "eq-b-3": {"v0", 0},
 	}
+	wantInts := map[string]int64{"eq-i-0": 15, "eq-i-1": 7, "eq-i-2": 10}
 
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			batchOuts, batchState := run(seed, false)
-			legacyOuts, legacyState := run(seed, true)
-			if !reflect.DeepEqual(batchOuts, legacyOuts) {
-				t.Errorf("outcomes diverge:\nbatched:    %+v\nper-option: %+v", batchOuts, legacyOuts)
+			c := newTestCluster(t, cluster.Config{Seed: seed})
+			for i := 0; i < 4; i++ {
+				c.SeedBytes(fmt.Sprintf("eq-b-%d", i), []byte("v0"))
 			}
-			if !reflect.DeepEqual(batchState, legacyState) {
-				t.Errorf("final replica state diverges between wire formats")
+			for i := 0; i < 4; i++ {
+				c.SeedInt(fmt.Sprintf("eq-i-%d", i), 10, 0, 100)
+			}
+			for i, ops := range txns {
+				committed, err, _ := submit(t, c, regions.Ireland, ops, mdcc.ModeFast)
+				if want := wantErr[i]; committed != (want == nil) || !errors.Is(err, want) {
+					t.Errorf("txn %d: committed=%v err=%v, want err=%v", i, committed, err, want)
+				}
+			}
+			if !c.Quiesce(5 * time.Second) {
+				t.Fatal("network did not quiesce")
+			}
+			var first map[string]mdcc.Value
+			for _, r := range c.Regions() {
+				snap := c.Replica(r).Snapshot()
+				if first == nil {
+					first = snap
+				} else if !reflect.DeepEqual(snap, first) {
+					t.Errorf("replica %s state diverges from %s", r, c.Regions()[0])
+				}
+			}
+			for key, want := range wantBytes {
+				v := first[key]
+				if string(v.Bytes) != want.value || v.Version != want.version {
+					t.Errorf("%s = %q@v%d, want %q@v%d", key, v.Bytes, v.Version, want.value, want.version)
+				}
+			}
+			for key, want := range wantInts {
+				if v := first[key]; v.Int != want {
+					t.Errorf("%s = %d, want %d", key, v.Int, want)
+				}
 			}
 		})
 	}

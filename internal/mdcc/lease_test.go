@@ -252,8 +252,9 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 		t.Fatalf("LeaseFenced = %d, want 1", fenced)
 	}
 
-	// Fencing layer 2: stale-epoch phase 2a (single and batched) is refused.
-	r.onPhase2a(phase2aMsg{Txn: 1, Key: "k", Ballot: 9, Option: setOp("k", 1), Master: master, Epoch: 1})
+	// Fencing layer 2: stale-epoch phase 2a is refused, each proposal fenced
+	// on its own.
+	r.onPhase2aBatch(phase2a(master, 1, phase2aItem{Txn: 1, Key: "k", Ballot: 9, Option: setOp("k", 1)}))
 	r.onPhase2aBatch(phase2aBatchMsg{Master: master, Epoch: 1,
 		Items: []phase2aItem{{Txn: 2, Key: "k", Ballot: 9, Option: setOp("k", 2)}}})
 	r.mu.Lock()
@@ -280,7 +281,7 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 
 	// And the deposed master itself bounces proposals instead of sequencing:
 	// the coordinator is told NotMaster and no per-key mastership starts.
-	r.onClassicPropose(classicProposeMsg{Txn: 3, Coord: coord, Option: setOp("k", 3)})
+	r.onClassicProposeBatch(classicPropose(3, coord, setOp("k", 3)))
 	r.mu.Lock()
 	ks := r.masters["k"]
 	r.mu.Unlock()

@@ -15,8 +15,18 @@ type masterKey struct {
 	ballot   uint64
 	leased   bool
 	p1       *phase1Run
-	queue    []classicProposeMsg
+	queue    []classicOption
 	inflight map[txn.ID]*masterOption
+}
+
+// classicOption is one classic-path option at its master: the transaction,
+// the coordinator awaiting the verdict, and the trace span the master's
+// spans parent to.
+type classicOption struct {
+	id    txn.ID
+	coord simnet.Addr
+	op    txn.Op
+	tc    TraceCtx
 }
 
 // phase1Run tracks an in-progress phase 1 (ownership + recovery discovery).
@@ -74,17 +84,6 @@ func (r *Replica) masterFor(key string) *masterKey {
 	return ks
 }
 
-// onClassicPropose handles a coordinator's classic-path request for one
-// option (compat wire format).
-func (r *Replica) onClassicPropose(p classicProposeMsg) {
-	r.mu.Lock()
-	leg, out := r.masterLegLocked(p.Txn, p.Coord, p.TC, r.clk.Now())
-	p.TC = TraceCtx{Span: leg}
-	out = append(out, r.classicProposeLocked(p)...)
-	r.mu.Unlock()
-	r.flush(out)
-}
-
 // onClassicProposeBatch handles every option of one transaction routed to
 // this master: all of them are sequenced under a single lock acquisition,
 // and everything they produce — results back to the coordinator, phase-1/2
@@ -94,8 +93,8 @@ func (r *Replica) onClassicProposeBatch(b classicProposeBatchMsg) {
 	leg, out := r.masterLegLocked(b.Txn, b.Coord, b.TC, r.clk.Now())
 	tc := TraceCtx{Span: leg}
 	for _, op := range b.Options {
-		out = append(out, r.classicProposeLocked(classicProposeMsg{
-			Txn: b.Txn, Coord: b.Coord, Option: op, TC: tc})...)
+		out = append(out, r.classicProposeLocked(classicOption{
+			id: b.Txn, coord: b.Coord, op: op, tc: tc})...)
 	}
 	r.mu.Unlock()
 	r.flush(out)
@@ -117,44 +116,44 @@ func (r *Replica) masterLegLocked(id txn.ID, coord simnet.Addr, tc TraceCtx, now
 	return leg.ID, []envelope{{coord, spanReportMsg{Txn: id, Spans: []obs.Span{leg}}}}
 }
 
-// resultTC stamps a classic result's trace context: the span the
-// coordinator's vote-return leg should parent to, and the send time. Zero
-// span means untraced and yields a zero context.
-func (r *Replica) resultTC(span uint64) TraceCtx {
-	if span == 0 {
-		return TraceCtx{}
+// resultTo stages one option's classic verdict for its coordinator as a
+// batch of one; flush merges same-transaction results to one destination.
+// span is the option-RPC leg the coordinator's vote-return span should
+// parent to (0 = untraced).
+func (r *Replica) resultTo(coord simnet.Addr, id txn.ID, key string, accepted bool, reason RejectReason, span uint64) envelope {
+	var tc TraceCtx
+	if span != 0 {
+		tc = TraceCtx{Span: span, SentUnixNano: r.clk.Now().UnixNano()}
 	}
-	return TraceCtx{Span: span, SentUnixNano: r.clk.Now().UnixNano()}
+	return envelope{coord, classicResultBatchMsg{Txn: id, TC: tc,
+		Results: []optionResult{{Key: key, Accepted: accepted, Reason: reason}}}}
 }
 
 // classicProposeLocked is the master-side handling of one classic-path
 // option: the first proposal for a key triggers phase 1 (taking ownership
 // and running Fast Paxos recovery); later proposals are sequenced directly.
 // Caller holds r.mu; returns staged messages.
-func (r *Replica) classicProposeLocked(p classicProposeMsg) []envelope {
-	if r.isDecided(p.Txn) {
-		committed := r.decided[p.Txn]
-		return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: p.Option.Key,
-			Accepted: committed, Reason: ReasonDecided, TC: r.resultTC(p.TC.Span)}}}
+func (r *Replica) classicProposeLocked(p classicOption) []envelope {
+	if r.isDecided(p.id) {
+		return []envelope{r.resultTo(p.coord, p.id, p.op.Key, r.decided[p.id], ReasonDecided, p.tc.Span)}
 	}
 	if r.leaseCfg != nil {
 		// Leased mastership: only the current lease holder may sequence.
 		// Anyone else — including a deposed master that hasn't noticed yet —
 		// bounces the proposal so the coordinator re-resolves the master.
-		ksp := r.leaseCfg.KeyspaceOf(p.Option.Key)
+		ksp := r.leaseCfg.KeyspaceOf(p.op.Key)
 		if !r.holdsLeaseLocked(ksp, r.clk.Now()) {
-			return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: p.Option.Key,
-				Accepted: false, Reason: ReasonNotMaster, TC: r.resultTC(p.TC.Span)}}}
+			return []envelope{r.resultTo(p.coord, p.id, p.op.Key, false, ReasonNotMaster, p.tc.Span)}
 		}
 	}
-	ks := r.masterFor(p.Option.Key)
+	ks := r.masterFor(p.op.Key)
 	r.ClassicRuns++
 	if ks.leased {
 		return r.sequenceLocked(ks, p)
 	}
 	ks.queue = append(ks.queue, p)
 	if ks.p1 == nil {
-		return r.startPhase1Locked(p.Option.Key, ks)
+		return r.startPhase1Locked(p.op.Key, ks)
 	}
 	return nil
 }
@@ -172,22 +171,10 @@ type envelope struct {
 	payload any
 }
 
-// flush sends staged messages after the lock is released. In batch mode it
-// groups envelopes by destination — in staged (deterministic) order, never
-// map order — so one handler invocation costs at most one wire message per
-// destination; per-option classic results and phase-2a proposals are folded
-// into their batch forms on the way out. Compat mode sends one message per
-// envelope, preserving the legacy wire format exactly.
+// flush sends staged messages after the lock is released, grouped by
+// destination — in staged (deterministic) order, never map order — so one
+// handler invocation costs at most one wire message per destination.
 func (r *Replica) flush(out []envelope) {
-	if len(out) == 0 {
-		return
-	}
-	if r.cfg.PerOptionMessages {
-		for _, e := range out {
-			r.send(e.to, e.payload)
-		}
-		return
-	}
 	// Group by destination in first-seen order. Quadratic in envelope count,
 	// which is tiny (a handful of peers plus a coordinator or two).
 	for i := 0; i < len(out); i++ {
@@ -207,41 +194,32 @@ func (r *Replica) flush(out []envelope) {
 }
 
 // sendCoalesced ships one destination's staged payloads as a single wire
-// message, first folding adjacent per-option messages into their batch
-// forms: classic results of the same transaction become one
-// classicResultBatchMsg, phase-2a proposals become one phase2aBatchMsg.
+// message, first merging adjacent batches that can share one: classic
+// results of the same transaction, and phase-2a proposals of the same lease
+// epoch (a master can hold different keyspace leases at different epochs,
+// and the batch carries one epoch for all its items).
 func (r *Replica) sendCoalesced(to simnet.Addr, payloads []any) {
 	merged := payloads[:0]
 	for _, p := range payloads {
-		switch m := p.(type) {
-		case classicResultMsg:
-			if i := len(merged) - 1; i >= 0 {
+		if i := len(merged) - 1; i >= 0 {
+			switch m := p.(type) {
+			case classicResultBatchMsg:
+				// The batch keeps the first result's trace context;
+				// same-message results share one option-RPC leg.
 				if b, ok := merged[i].(classicResultBatchMsg); ok && b.Txn == m.Txn {
-					b.Results = append(b.Results, optionResult{m.Key, m.Accepted, m.Reason})
+					b.Results = append(b.Results, m.Results...)
 					merged[i] = b
 					continue
 				}
-			}
-			// The batch adopts the first result's trace context; same-message
-			// results share one option-RPC leg, so first-wins is consistent.
-			merged = append(merged, classicResultBatchMsg{Txn: m.Txn, TC: m.TC,
-				Results: []optionResult{{m.Key, m.Accepted, m.Reason}}})
-		case phase2aMsg:
-			if i := len(merged) - 1; i >= 0 {
-				// Same-epoch proposals only: a master can hold different
-				// keyspace leases at different epochs, and the batch carries
-				// one epoch for all its items.
+			case phase2aBatchMsg:
 				if b, ok := merged[i].(phase2aBatchMsg); ok && b.Epoch == m.Epoch {
-					b.Items = append(b.Items, phase2aItem{m.Txn, m.Key, m.Ballot, m.Option})
+					b.Items = append(b.Items, m.Items...)
 					merged[i] = b
 					continue
 				}
 			}
-			merged = append(merged, phase2aBatchMsg{Master: m.Master, Epoch: m.Epoch,
-				Items: []phase2aItem{{m.Txn, m.Key, m.Ballot, m.Option}}})
-		default:
-			merged = append(merged, p)
 		}
+		merged = append(merged, p)
 	}
 	if len(merged) == 1 {
 		r.send(to, merged[0])
@@ -393,36 +371,33 @@ func (r *Replica) finishPhase1Locked(key string, ks *masterKey) []envelope {
 
 // sequenceLocked validates and proposes one client option at the master's
 // ballot. Caller holds r.mu; returns staged messages.
-func (r *Replica) sequenceLocked(ks *masterKey, p classicProposeMsg) []envelope {
-	key := p.Option.Key
-	if r.isDecided(p.Txn) {
-		return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: key,
-			Accepted: r.decided[p.Txn], Reason: ReasonDecided, TC: r.resultTC(p.TC.Span)}}}
+func (r *Replica) sequenceLocked(ks *masterKey, p classicOption) []envelope {
+	key := p.op.Key
+	if r.isDecided(p.id) {
+		return []envelope{r.resultTo(p.coord, p.id, key, r.decided[p.id], ReasonDecided, p.tc.Span)}
 	}
-	if mo := ks.inflight[p.Txn]; mo != nil {
+	if mo := ks.inflight[p.id]; mo != nil {
 		// The option is already in flight (fast leftover recovered, or a
 		// duplicate fallback): attach the coordinator to its outcome.
 		if mo.done {
-			return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: key,
-				Accepted: bits.OnesCount64(mo.accepts) >= ClassicQuorum(len(r.cfg.Peers)),
-				TC:       r.resultTC(p.TC.Span)}}}
+			accepted := bits.OnesCount64(mo.accepts) >= ClassicQuorum(len(r.cfg.Peers))
+			return []envelope{r.resultTo(p.coord, p.id, key, accepted, ReasonNone, p.tc.Span)}
 		}
-		mo.coord = &p.Coord
+		mo.coord = &p.coord
 		if mo.traceParent == 0 {
-			mo.traceParent = p.TC.Span
+			mo.traceParent = p.tc.Span
 			mo.traceStart = r.clk.Now()
 		}
 		return nil
 	}
 	rc, sp := r.records.acquire(key)
 	rc.evictStale(r.clk.Now(), r.cfg.PendingTTL)
-	reason := rc.validate(p.Option, ks.ballot, p.Txn)
+	reason := rc.validate(p.op, ks.ballot, p.id)
 	sp.mu.Unlock()
 	if reason != ReasonNone {
-		return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: key,
-			Accepted: false, Reason: reason, TC: r.resultTC(p.TC.Span)}}}
+		return []envelope{r.resultTo(p.coord, p.id, key, false, reason, p.tc.Span)}
 	}
-	return r.proposeAtMasterLocked(ks, key, p.Txn, p.Option, &p.Coord, p.TC)
+	return r.proposeAtMasterLocked(ks, key, p.id, p.op, &p.coord, p.tc)
 }
 
 // proposeAtMasterLocked runs phase 2 for one option: the master accepts
@@ -450,21 +425,11 @@ func (r *Replica) proposeAtMasterLocked(ks *masterKey, key string, id txn.ID, op
 		if peer == r.cfg.Addr {
 			continue
 		}
-		out = append(out, envelope{peer, phase2aMsg{Txn: id, Key: key,
-			Ballot: ks.ballot, Option: op, Master: r.cfg.Addr, Epoch: epoch}})
+		out = append(out, envelope{peer, phase2aBatchMsg{Master: r.cfg.Addr, Epoch: epoch,
+			Items: []phase2aItem{{Txn: id, Key: key, Ballot: ks.ballot, Option: op}}}})
 	}
 	out = append(out, r.checkMasterQuorumLocked(ks, mo)...)
 	return out
-}
-
-// onPhase2a is the acceptor side of phase 2 (compat wire format): obey the
-// master if the ballot is current.
-func (r *Replica) onPhase2a(m phase2aMsg) {
-	r.mu.Lock()
-	it := r.phase2aLocked(phase2aItem{Txn: m.Txn, Key: m.Key, Ballot: m.Ballot, Option: m.Option}, m.Epoch)
-	r.mu.Unlock()
-	r.send(m.Master, phase2bMsg{Txn: it.Txn, Key: it.Key, Ballot: it.Ballot,
-		Accept: it.Accept, Region: r.Region()})
 }
 
 // onPhase2aBatch processes a master's batched phase-2a proposals under one
@@ -499,15 +464,6 @@ func (r *Replica) phase2aLocked(m phase2aItem, epoch uint64) phase2bItem {
 		sp.mu.Unlock()
 	}
 	return phase2bItem{Txn: m.Txn, Key: m.Key, Ballot: m.Ballot, Accept: accept}
-}
-
-// onPhase2b is the master side of phase 2 quorum counting (compat wire
-// format).
-func (r *Replica) onPhase2b(b phase2bMsg) {
-	r.mu.Lock()
-	out := r.phase2bLocked(phase2bItem{Txn: b.Txn, Key: b.Key, Ballot: b.Ballot, Accept: b.Accept}, b.Region)
-	r.mu.Unlock()
-	r.flush(out)
 }
 
 // onPhase2bBatch folds an acceptor's batched phase-2b verdicts into the
@@ -556,16 +512,14 @@ func (r *Replica) checkMasterQuorumLocked(ks *masterKey, mo *masterOption) []env
 		mo.done = true
 		out := r.masterArbitratedLocked(mo)
 		if mo.coord != nil {
-			out = append(out, envelope{*mo.coord, classicResultMsg{Txn: mo.id, Key: mo.op.Key,
-				Accepted: true, TC: r.resultTC(mo.traceParent)}})
+			out = append(out, r.resultTo(*mo.coord, mo.id, mo.op.Key, true, ReasonNone, mo.traceParent))
 		}
 		return out
 	case mo.rejects > n-q:
 		mo.done = true
 		out := r.masterArbitratedLocked(mo)
 		if mo.coord != nil {
-			out = append(out, envelope{*mo.coord, classicResultMsg{Txn: mo.id, Key: mo.op.Key,
-				Accepted: false, Reason: ReasonBallot, TC: r.resultTC(mo.traceParent)}})
+			out = append(out, r.resultTo(*mo.coord, mo.id, mo.op.Key, false, ReasonBallot, mo.traceParent))
 		}
 		return out
 	}

@@ -29,11 +29,27 @@ func newLoneReplica(t *testing.T, n int) *Replica {
 
 func regionOf(i int) simnet.Region { return simnet.Region(string(rune('a' + i))) }
 
+// classicPropose is a coordinator's classic-path request for one option: a
+// classic propose batch of one.
+func classicPropose(id txn.ID, coord simnet.Addr, op txn.Op) classicProposeBatchMsg {
+	return classicProposeBatchMsg{Txn: id, Coord: coord, Options: []txn.Op{op}}
+}
+
+// phase2a is a master's phase-2a proposal for one option: a batch of one.
+func phase2a(master simnet.Addr, epoch uint64, it phase2aItem) phase2aBatchMsg {
+	return phase2aBatchMsg{Master: master, Epoch: epoch, Items: []phase2aItem{it}}
+}
+
+// phase2b is an acceptor's phase-2b verdict on one option: a batch of one.
+func phase2b(from simnet.Region, it phase2bItem) phase2bBatchMsg {
+	return phase2bBatchMsg{Region: from, Items: []phase2bItem{it}}
+}
+
 func TestMasterPhase1TakesOwnership(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
-	r.onClassicPropose(classicProposeMsg{Txn: 1, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicPropose(1, coord, setOp("k", 0)))
 
 	r.mu.Lock()
 	ks := r.masters["k"]
@@ -78,7 +94,7 @@ func TestMasterRecoveryReproposesPossiblyChosen(t *testing.T) {
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
 	// A client proposal for txn 7 arrives and starts phase 1.
-	r.onClassicPropose(classicProposeMsg{Txn: 7, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicPropose(7, coord, setOp("k", 0)))
 	r.mu.Lock()
 	ballot := r.masters["k"].ballot
 	r.mu.Unlock()
@@ -115,7 +131,7 @@ func TestMasterRecoveryIgnoresBelowThreshold(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
-	r.onClassicPropose(classicProposeMsg{Txn: 7, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicPropose(7, coord, setOp("k", 0)))
 	r.mu.Lock()
 	ballot := r.masters["k"].ballot
 	r.mu.Unlock()
@@ -142,7 +158,7 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
-	r.onClassicPropose(classicProposeMsg{Txn: 9, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicPropose(9, coord, setOp("k", 0)))
 	r.mu.Lock()
 	ballot := r.masters["k"].ballot
 	r.mu.Unlock()
@@ -151,7 +167,7 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 
 	// Master already counts itself (1 accept); one more phase-2b reaches
 	// nothing, two reach the classic quorum of 3.
-	r.onPhase2b(phase2bMsg{Txn: 9, Key: "k", Ballot: ballot, Accept: true, Region: regionOf(1)})
+	r.onPhase2bBatch(phase2b(regionOf(1), phase2bItem{Txn: 9, Key: "k", Ballot: ballot, Accept: true}))
 	r.mu.Lock()
 	mo := r.masters["k"].inflight[9]
 	done := mo.done
@@ -159,7 +175,7 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 	if done {
 		t.Fatal("quorum declared with 2 of 3 accepts")
 	}
-	r.onPhase2b(phase2bMsg{Txn: 9, Key: "k", Ballot: ballot, Accept: true, Region: regionOf(2)})
+	r.onPhase2bBatch(phase2b(regionOf(2), phase2bItem{Txn: 9, Key: "k", Ballot: ballot, Accept: true}))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !mo.done {
@@ -170,7 +186,7 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 func TestMasterStaleBallotPhase1bIgnored(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
-	r.onClassicPropose(classicProposeMsg{Txn: 1, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicPropose(1, coord, setOp("k", 0)))
 	r.mu.Lock()
 	ballot := r.masters["k"].ballot
 	r.mu.Unlock()
@@ -213,17 +229,17 @@ func TestAcceptorPhase2aObeysBallot(t *testing.T) {
 
 	// Promise at 5; a phase-2a at 4 must be refused (no pending added).
 	r.onPhase1a(phase1aMsg{Key: "k", Ballot: 5, Master: master})
-	r.onPhase2a(phase2aMsg{Txn: 3, Key: "k", Ballot: 4, Option: setOp("k", 0), Master: master})
+	r.onPhase2aBatch(phase2a(master, 0, phase2aItem{Txn: 3, Key: "k", Ballot: 4, Option: setOp("k", 0)}))
 	if r.PendingCount("k") != 0 {
 		t.Error("stale-ballot phase2a accepted")
 	}
 	// At 5 it is accepted.
-	r.onPhase2a(phase2aMsg{Txn: 3, Key: "k", Ballot: 5, Option: setOp("k", 0), Master: master})
+	r.onPhase2aBatch(phase2a(master, 0, phase2aItem{Txn: 3, Key: "k", Ballot: 5, Option: setOp("k", 0)}))
 	if r.PendingCount("k") != 1 {
 		t.Error("current-ballot phase2a refused")
 	}
 	// A higher-ballot conflicting phase2a evicts the lower one.
-	r.onPhase2a(phase2aMsg{Txn: 4, Key: "k", Ballot: 6, Option: setOp("k", 0), Master: master})
+	r.onPhase2aBatch(phase2a(master, 0, phase2aItem{Txn: 4, Key: "k", Ballot: 6, Option: setOp("k", 0)}))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rc := r.rec("k")

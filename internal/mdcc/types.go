@@ -211,30 +211,6 @@ type proposeMsg struct {
 	TC      TraceCtx
 }
 
-type voteMsg struct {
-	Txn    txn.ID
-	Key    string
-	Accept bool
-	Reason RejectReason
-	Region simnet.Region
-	TC     TraceCtx
-}
-
-type classicProposeMsg struct {
-	Txn    txn.ID
-	Coord  simnet.Addr
-	Option txn.Op
-	TC     TraceCtx
-}
-
-type classicResultMsg struct {
-	Txn      txn.ID
-	Key      string
-	Accepted bool
-	Reason   RejectReason
-	TC       TraceCtx
-}
-
 type phase1aMsg struct {
 	Key    string
 	Ballot uint64
@@ -262,24 +238,6 @@ type pendingSnapshot struct {
 	Ballot uint64
 }
 
-type phase2aMsg struct {
-	Txn    txn.ID
-	Key    string
-	Ballot uint64
-	Option txn.Op
-	Master simnet.Addr
-	// Epoch is the master's lease epoch (see phase1aMsg.Epoch).
-	Epoch uint64
-}
-
-type phase2bMsg struct {
-	Txn    txn.ID
-	Key    string
-	Ballot uint64
-	Accept bool
-	Region simnet.Region
-}
-
 type decideMsg struct {
 	Txn     txn.ID
 	Commit  bool
@@ -296,11 +254,10 @@ type decideMsg struct {
 //
 // The batch forms carry everything a handler produces for one destination in
 // a single network message: one loss draw, one sampled delay, one delivery.
-// Per-option semantics are unchanged — each item is processed exactly as its
-// per-option counterpart would be, just under one lock acquisition at the
-// receiver. The per-option messages above remain the compatibility protocol,
-// selected by the PerOptionMessages config knobs, which the equivalence
-// tests use to pin batch behavior to the classic wire format.
+// MDCC defines the protocol per record option; each item is processed
+// exactly as that per-option message would be, just under one lock
+// acquisition at the receiver, and a batch of one item is the per-option
+// message.
 
 // optionVote is one option's verdict inside a voteBatchMsg.
 type optionVote struct {

@@ -2,6 +2,7 @@ package mdcc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -26,16 +27,17 @@ func wireSamples() []any {
 	return []any{
 		proposeMsg{Txn: 1, Coord: coord, Options: ops},
 		proposeMsg{Txn: 2, Coord: simnet.Addr{}},
-		voteMsg{Txn: 3, Key: "k", Accept: true, Reason: ReasonNone, Region: "us-east"},
-		voteMsg{Txn: 4, Key: "k", Accept: false, Reason: ReasonBallot, Region: ""},
-		classicProposeMsg{Txn: 5, Coord: coord, Option: ops[1]},
-		classicResultMsg{Txn: 6, Key: "k", Accepted: false, Reason: ReasonBound},
+		// Batches of one: the per-option form of each batch message.
+		voteBatchMsg{Txn: 3, Region: "us-east", Votes: []optionVote{{Key: "k", Accept: true}}},
+		voteBatchMsg{Txn: 4, Votes: []optionVote{{Key: "k", Reason: ReasonBallot}}},
+		classicProposeBatchMsg{Txn: 5, Coord: coord, Options: ops[1:2]},
+		classicResultBatchMsg{Txn: 6, Results: []optionResult{{Key: "k", Reason: ReasonBound}}},
 		phase1aMsg{Key: "k", Ballot: 9, Master: master},
 		phase1bMsg{Key: "k", Ballot: 9, OK: true, Region: "eu-west",
 			Pending: []pendingSnapshot{{Txn: 7, Option: ops[0], Ballot: 2}, {Txn: 8, Option: ops[1]}}},
 		phase1bMsg{Key: "k", OK: false},
-		phase2aMsg{Txn: 9, Key: "k", Ballot: 3, Option: ops[2], Master: master},
-		phase2bMsg{Txn: 10, Key: "k", Ballot: 3, Accept: true, Region: "us-west"},
+		phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 9, Key: "k", Ballot: 3, Option: ops[2]}}},
+		phase2bBatchMsg{Region: "us-west", Items: []phase2bItem{{Txn: 10, Key: "k", Ballot: 3, Accept: true}}},
 		decideMsg{Txn: 11, Commit: true, Options: ops},
 		decideMsg{Txn: 12, Commit: false},
 		voteBatchMsg{Txn: 13, Region: "us-east", Votes: []optionVote{
@@ -66,11 +68,11 @@ func wireSamples() []any {
 		// Traced variants: the optional trailing trace context present.
 		proposeMsg{Txn: 18, Coord: coord, Options: ops[:1],
 			TC: TraceCtx{Span: 0xabc0001, SentUnixNano: 1_700_000_000_000_000_001}},
-		voteMsg{Txn: 19, Key: "k", Accept: true, Region: "us-east",
+		voteBatchMsg{Txn: 19, Region: "us-east", Votes: []optionVote{{Key: "k", Accept: true}},
 			TC: TraceCtx{Span: 0xabc0002, SentUnixNano: -5}},
-		classicProposeMsg{Txn: 20, Coord: coord, Option: ops[0],
+		classicProposeBatchMsg{Txn: 20, Coord: coord, Options: ops[:1],
 			TC: TraceCtx{Span: 3, SentUnixNano: 9}},
-		classicResultMsg{Txn: 21, Key: "k", Accepted: true,
+		classicResultBatchMsg{Txn: 21, Results: []optionResult{{Key: "k", Accepted: true}},
 			TC: TraceCtx{Span: 4, SentUnixNano: 10}},
 		decideMsg{Txn: 22, Commit: true, Options: ops[:1], Coord: coord,
 			TC: TraceCtx{Span: 5, SentUnixNano: 11}},
@@ -92,7 +94,8 @@ func wireSamples() []any {
 		spanReportMsg{Txn: 27},
 		// Lease-epoch-stamped variants: the optional trailing epoch present.
 		phase1aMsg{Key: "k", Ballot: 9, Master: master, Epoch: 3},
-		phase2aMsg{Txn: 28, Key: "k", Ballot: 3, Option: ops[0], Master: master, Epoch: 1 << 33},
+		phase2aBatchMsg{Master: master, Epoch: 1 << 33, Items: []phase2aItem{
+			{Txn: 28, Key: "k", Ballot: 3, Option: ops[0]}}},
 		phase2aBatchMsg{Master: master, Epoch: 2, Items: []phase2aItem{
 			{Txn: 29, Key: "a", Ballot: 1, Option: ops[0]}}},
 		// Lease round messages.
@@ -170,17 +173,12 @@ func TestWireEpochVersionTolerance(t *testing.T) {
 
 	plainMsgs := []any{
 		phase1aMsg{Key: "k", Ballot: 9, Master: master},
-		phase2aMsg{Txn: 1, Key: "k", Ballot: 3,
-			Option: txn.Op{Kind: txn.OpAdd, Key: "k", Delta: 1}, Master: master},
 		phase2aBatchMsg{Master: master, Items: []phase2aItem{
 			{Txn: 2, Key: "a", Ballot: 1, Option: txn.Op{Kind: txn.OpAdd, Key: "a"}}}},
 	}
 	stamp := func(m any) any {
 		switch p := m.(type) {
 		case phase1aMsg:
-			p.Epoch = 6
-			return p
-		case phase2aMsg:
 			p.Epoch = 6
 			return p
 		case phase2aBatchMsg:
@@ -192,8 +190,6 @@ func TestWireEpochVersionTolerance(t *testing.T) {
 	epochOf := func(m any) uint64 {
 		switch p := m.(type) {
 		case phase1aMsg:
-			return p.Epoch
-		case phase2aMsg:
 			return p.Epoch
 		case phase2aBatchMsg:
 			return p.Epoch
@@ -270,7 +266,8 @@ func TestWireDeterministic(t *testing.T) {
 func TestWireAppendExtends(t *testing.T) {
 	var c WireCodec
 	prefix := []byte{0xde, 0xad}
-	buf, err := c.Append(prefix, voteMsg{Txn: 1, Key: "k", Accept: true, Region: "r"})
+	buf, err := c.Append(prefix, voteBatchMsg{Txn: 1, Region: "r",
+		Votes: []optionVote{{Key: "k", Accept: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +276,67 @@ func TestWireAppendExtends(t *testing.T) {
 	}
 	if _, err := c.Decode(buf[len(prefix):]); err != nil {
 		t.Fatalf("decode after prefix: %v", err)
+	}
+}
+
+// TestWireTags pins the frozen tag table: every message type encodes under
+// its fixed first byte, and the tags of the retired per-option messages
+// (vote 2, classic propose 3, classic result 4, phase 2a 7, phase 2b 8)
+// stay reserved — a frame carrying one is rejected as unknown.
+func TestWireTags(t *testing.T) {
+	var c WireCodec
+	tags := []struct {
+		msg any
+		tag byte
+	}{
+		{proposeMsg{}, 1},
+		{phase1aMsg{}, 5},
+		{phase1bMsg{}, 6},
+		{decideMsg{}, 9},
+		{voteBatchMsg{}, 10},
+		{classicProposeBatchMsg{}, 11},
+		{classicResultBatchMsg{}, 12},
+		{phase2aBatchMsg{}, 13},
+		{phase2bBatchMsg{}, 14},
+		{readReq{}, 15},
+		{readResp{}, 16},
+		{syncReq{}, 17},
+		{syncResp{}, 18},
+		{spanReportMsg{}, 19},
+		{leaseRequestMsg{}, 20},
+		{leaseGrantMsg{}, 21},
+	}
+	for _, tt := range tags {
+		buf, err := c.Append(nil, tt.msg)
+		if err != nil {
+			t.Fatalf("encode %T: %v", tt.msg, err)
+		}
+		if buf[0] != tt.tag {
+			t.Errorf("%T encodes with tag %d, want %d", tt.msg, buf[0], tt.tag)
+		}
+	}
+	// Each retired tag alone, and followed by a well-formed body of the
+	// message it used to carry.
+	retired := map[byte][]byte{
+		2: {1, 1, 'k', 1, 0, 0},                // vote: txn, key, accept, reason, region
+		3: {1, 0, 0, 0, 0, 0, 0, 0},            // classic propose: txn, coord, option
+		4: {1, 1, 'k', 1, 0},                   // classic result: txn, key, accepted, reason
+		7: {1, 1, 'k', 3, 0, 0, 0, 0, 0, 0, 0}, // phase 2a: txn, key, ballot, option, master
+		8: {1, 1, 'k', 3, 1, 0},                // phase 2b: txn, key, ballot, accept, region
+	}
+	for tag, body := range retired {
+		for _, frame := range [][]byte{{tag}, append([]byte{tag}, body...)} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("decode of retired tag %d panicked: %v", tag, r)
+					}
+				}()
+				if m, err := c.Decode(frame); err == nil {
+					t.Errorf("retired tag %d decoded as %T, want an error", tag, m)
+				}
+			}()
+		}
 	}
 }
 
@@ -387,14 +445,60 @@ func TestWireHostileLengths(t *testing.T) {
 	hostile := [][]byte{
 		// propose with an options count of 2^40.
 		append([]byte{tagPropose, 1, 0, 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40),
-		// vote with a key length of 2^30.
-		{tagVote, 1, 0x80, 0x80, 0x80, 0x80, 0x04},
+		// vote batch with a region length of 2^30.
+		{tagVoteBatch, 1, 0x80, 0x80, 0x80, 0x80, 0x04},
 		// syncResp with a huge record count and no data.
 		{tagSyncResp, 1, 0xff, 0xff, 0xff, 0x7f},
 	}
 	for _, buf := range hostile {
 		if _, err := c.Decode(buf); err == nil {
 			t.Errorf("hostile frame %x decoded without error", buf)
+		}
+	}
+}
+
+// BenchmarkWireCodec measures the codec layer on its own: one op encodes
+// and decodes the messages one commit of four options puts on the wire —
+// the fast path's propose, vote batch and decide, and the classic path's
+// propose, result, phase-2a and phase-2b batches.
+func BenchmarkWireCodec(b *testing.B) {
+	coord := simnet.Addr{Region: "us-west", Name: "coord"}
+	master := simnet.Addr{Region: "eu-west", Name: "replica"}
+	ops := make([]txn.Op, 4)
+	votes := make([]optionVote, len(ops))
+	results := make([]optionResult, len(ops))
+	p2a := make([]phase2aItem, len(ops))
+	p2b := make([]phase2bItem, len(ops))
+	for i := range ops {
+		key := fmt.Sprintf("n-%d", i)
+		ops[i] = txn.Op{Kind: txn.OpAdd, Key: key, Delta: 1}
+		votes[i] = optionVote{Key: key, Accept: true}
+		results[i] = optionResult{Key: key, Accepted: true}
+		p2a[i] = phase2aItem{Txn: 1, Key: key, Ballot: 3, Option: ops[i]}
+		p2b[i] = phase2bItem{Txn: 1, Key: key, Ballot: 3, Accept: true}
+	}
+	msgs := []any{
+		proposeMsg{Txn: 1, Coord: coord, Options: ops},
+		voteBatchMsg{Txn: 1, Region: "us-east", Votes: votes},
+		decideMsg{Txn: 1, Commit: true, Options: ops},
+		classicProposeBatchMsg{Txn: 1, Coord: coord, Options: ops},
+		classicResultBatchMsg{Txn: 1, Results: results},
+		phase2aBatchMsg{Master: master, Items: p2a},
+		phase2bBatchMsg{Region: "us-east", Items: p2b},
+	}
+	var c WireCodec
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range msgs {
+			var err error
+			if buf, err = c.Append(buf[:0], m); err != nil {
+				b.Fatal(err)
+			}
+			if _, err = c.Decode(buf); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
